@@ -131,7 +131,6 @@ fn check_self_healing(args: &Args, reference: &[Vec<f32>]) -> usize {
     let engine = start(ServeConfig {
         workers: args.workers,
         max_batch: 3,
-        max_wait: Duration::from_millis(2),
         queue_cap: args.requests.max(64),
         faults: Some(faults.clone()),
         ..ServeConfig::default()
@@ -185,7 +184,6 @@ fn check_storm(args: &Args, reference: &[Vec<f32>]) -> usize {
     let engine = start(ServeConfig {
         workers: args.workers,
         max_batch: 4,
-        max_wait: Duration::from_millis(1),
         queue_cap: 64,
         deadline: Some(Duration::from_secs(5)),
         faults: Some(faults.clone()),

@@ -1,7 +1,7 @@
 //! Machine-readable performance snapshot — the producer behind
 //! `scripts/bench.sh` and the committed `BENCH_9.json`.
 //!
-//! Four sections:
+//! Three sections:
 //!
 //! * **gemm** — per-kernel GFLOP/s on the two matmul families the model
 //!   actually runs: a conv-shaped dense product (`[64, 576]·[576, 425]`,
@@ -17,11 +17,8 @@
 //!   floor — maintenance ≥ 3× cheaper — is asserted, not just recorded.
 //! * **serve** — client-observed p50/p95/p99 latency and throughput of
 //!   the micro-batching engine at a fixed closed-loop offered load.
-//! * **cost_model** — the plan IR's predicted FLOPs for the served model
-//!   divided by the measured p50, as a fraction of this run's own peak
-//!   GEMM rate. A ratio above 1 would mean the static cost model
-//!   overcounts; `analyze --bench BENCH_9.json` re-applies the same
-//!   check as a gate.
+//!   `analyze --bench BENCH_9.json` reads this section and the gemm peak
+//!   to check that the plan IR's predicted FLOPs stay physically possible.
 //!
 //! ```text
 //! cargo run --release -p dhg-bench --bin perf -- --out BENCH_9.json \
@@ -46,7 +43,7 @@ use dhg_train::json::Value;
 use dhg_train::serve::{Pending, ServeConfig, ServeEngine, ServeError};
 use dhg_train::zoo::Zoo;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct Args {
     out: String,
@@ -304,42 +301,6 @@ fn streaming_section(args: &Args) -> Vec<StreamingResult> {
     results
 }
 
-/// Predicted-vs-measured cross-check: the plan IR's FLOP count for the
-/// served model against this run's own wall-clock numbers.
-struct CostModelResult {
-    predicted_mflop: f64,
-    p50_us: u64,
-    achieved_gflops: f64,
-    peak_gemm_gflops: f64,
-    ratio: f64,
-}
-
-/// Predicted FLOPs for the serve section's DHGCN-lite at its exact
-/// window, turned into an implied GFLOP/s at the measured p50 and
-/// expressed as a fraction of the measured peak GEMM rate. p50 includes
-/// queueing and operator construction, so honest predictions land well
-/// under 1.0.
-fn cost_model_section(gemm: &[GemmResult], serve: &ServeResult) -> CostModelResult {
-    use dhg_nn::{analyze, Module, SymShape};
-    let zoo = Zoo::tiny(SkeletonTopology::ntu25(), 4, 0);
-    let mut m = zoo.dhgcn_lite();
-    let x = dhg_tensor::Tensor::constant(sample(0, serve.frames).reshape(&[1, 3, serve.frames, 25]));
-    m.forward(&x);
-    m.prepare_inference();
-    let cost = analyze(&m.plan(&SymShape::nctv(3, serve.frames, 25))).cost_summary();
-    let predicted_mflop = cost.flops as f64 / 1e6;
-    let p50_s = (serve.p50_us.max(1)) as f64 / 1e6;
-    let achieved_gflops = predicted_mflop / 1e3 / p50_s;
-    let peak_gemm_gflops = gemm.iter().map(|g| g.gflops).fold(0.0f64, f64::max);
-    CostModelResult {
-        predicted_mflop,
-        p50_us: serve.p50_us,
-        achieved_gflops,
-        peak_gemm_gflops,
-        ratio: if peak_gemm_gflops > 0.0 { achieved_gflops / peak_gemm_gflops } else { 0.0 },
-    }
-}
-
 struct ServeResult {
     requests: usize,
     clients: usize,
@@ -370,7 +331,6 @@ fn serve_section(args: &Args) -> ServeResult {
         &[3, frames, 25],
         ServeConfig {
             max_batch: 4,
-            max_wait: Duration::from_micros(500),
             queue_cap: 64,
             workers: 1,
             threads_per_worker: 1,
@@ -452,7 +412,6 @@ fn write_json(
     gemm: &[GemmResult],
     streaming: &[StreamingResult],
     serve: &ServeResult,
-    cost: &CostModelResult,
 ) -> std::io::Result<()> {
     let mut s = String::new();
     s.push_str("{\n");
@@ -493,15 +452,9 @@ fn write_json(
     s.push_str(&format!(
         "  \"serve\": {{\"model\": \"DHGCN-lite\", \"requests\": {}, \"clients\": {}, \
          \"window\": {}, \"frames\": {}, \"rps\": {:.1}, \"p50_us\": {}, \"p95_us\": {}, \
-         \"p99_us\": {}}},\n",
+         \"p99_us\": {}}}\n",
         serve.requests, serve.clients, serve.window, serve.frames, serve.rps, serve.p50_us,
         serve.p95_us, serve.p99_us
-    ));
-    s.push_str(&format!(
-        "  \"cost_model\": {{\"model\": \"DHGCN-lite\", \"predicted_mflop\": {:.3}, \
-         \"p50_us\": {}, \"achieved_gflops\": {:.3}, \"peak_gemm_gflops\": {:.3}, \
-         \"ratio\": {:.4}}}\n",
-        cost.predicted_mflop, cost.p50_us, cost.achieved_gflops, cost.peak_gemm_gflops, cost.ratio
     ));
     s.push_str("}\n");
     if let Some(parent) = std::path::Path::new(&args.out).parent() {
@@ -599,16 +552,7 @@ fn main() -> ExitCode {
         "serve DHGCN-lite(tiny)  {} requests  {:.1} req/s  p50={}us p95={}us p99={}us",
         serve.requests, serve.rps, serve.p50_us, serve.p95_us, serve.p99_us
     );
-    let cost = cost_model_section(&gemm, &serve);
-    println!(
-        "cost  DHGCN-lite(tiny)  predicted {:.3} MFLOP / p50 {}us => {:.2} GFLOP/s ({:.1}% of peak {:.2})",
-        cost.predicted_mflop,
-        cost.p50_us,
-        cost.achieved_gflops,
-        cost.ratio * 100.0,
-        cost.peak_gemm_gflops
-    );
-    if let Err(e) = write_json(&args, &gemm, &streaming, &serve, &cost) {
+    if let Err(e) = write_json(&args, &gemm, &streaming, &serve) {
         eprintln!("perf: failed to write {}: {e}", args.out);
         return ExitCode::FAILURE;
     }

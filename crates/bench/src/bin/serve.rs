@@ -28,6 +28,7 @@
 //! shedding must be observed as typed [`dhg_train::ServeError::Rejected`]
 //! values — and every accepted request must still be answered.
 
+use dhg_nn::fault::{FaultPlan, FaultSite};
 use dhg_skeleton::SkeletonTopology;
 use dhg_tensor::{NdArray, Tensor};
 use dhg_train::serve::{Pending, ServeConfig, ServeEngine, ServeError};
@@ -48,7 +49,6 @@ struct Args {
     queue_cap: usize,
     workers: usize,
     threads: usize,
-    max_wait_us: u64,
     clients: usize,
     json: bool,
     smoke: bool,
@@ -65,7 +65,6 @@ impl Args {
             queue_cap: 64,
             workers: 0, // 0 = one replica per hardware thread
             threads: 1,
-            max_wait_us: 2000,
             clients: 4,
             json: false,
             smoke: false,
@@ -84,7 +83,6 @@ impl Args {
                 "--queue-cap" => args.queue_cap = num(&value(&mut it)?)?,
                 "--workers" => args.workers = num(&value(&mut it)?)?,
                 "--threads" => args.threads = num(&value(&mut it)?)?,
-                "--max-wait-us" => args.max_wait_us = num(&value(&mut it)?)? as u64,
                 "--clients" => args.clients = num(&value(&mut it)?)?,
                 "--json" => args.json = true,
                 "--smoke" => args.smoke = true,
@@ -132,7 +130,6 @@ fn sequential_rps(args: &Args) -> f64 {
 fn engine_config(args: &Args) -> ServeConfig {
     ServeConfig {
         max_batch: args.max_batch,
-        max_wait: Duration::from_micros(args.max_wait_us),
         queue_cap: args.queue_cap,
         workers: if args.workers == 0 {
             dhg_tensor::parallel::num_threads()
@@ -140,6 +137,26 @@ fn engine_config(args: &Args) -> ServeConfig {
             args.workers
         },
         threads_per_worker: args.threads.max(1),
+        ..ServeConfig::default()
+    }
+}
+
+/// One worker whose first batch stalls for half a second (a one-trip
+/// [`FaultSite::BatchDelay`]): a burst submitted meanwhile overruns the
+/// `queue_cap`-deep queue behind it.
+fn overload_config(queue_cap: usize) -> ServeConfig {
+    ServeConfig {
+        max_batch: 2,
+        queue_cap,
+        workers: 1,
+        threads_per_worker: 1,
+        faults: Some(
+            FaultPlan::builder(0)
+                .rate(FaultSite::BatchDelay, 1.0)
+                .limit(FaultSite::BatchDelay, 1)
+                .delay(Duration::from_millis(500))
+                .build(),
+        ),
         ..ServeConfig::default()
     }
 }
@@ -241,8 +258,8 @@ fn report(args: &Args, seq_rps: f64, eng_rps: f64, engine: &ServeEngine) {
         println!("sequential       {seq_rps:>10.1} req/s (one-request-at-a-time baseline)");
         println!(
             "micro-batched    {eng_rps:>10.1} req/s ({} worker(s) x {} thread(s), \
-             max_batch {}, max_wait {} us)",
-            cfg.workers, cfg.threads_per_worker, args.max_batch, args.max_wait_us
+             max_batch {})",
+            cfg.workers, cfg.threads_per_worker, args.max_batch
         );
         println!("speedup          {:>10.2}x", eng_rps / seq_rps);
         println!("batch size       {}", m.batch_size.snapshot());
@@ -267,18 +284,8 @@ fn run(args: &Args) -> ExitCode {
     let eng_rps = drive(&engine, args, args.requests);
     report(args, seq_rps, eng_rps, &engine);
 
-    // overload: hold batches open so the burst overruns the bounded queue
-    let overload = start_engine(
-        args,
-        ServeConfig {
-            max_batch: 2,
-            max_wait: Duration::from_secs(2),
-            queue_cap: 8,
-            workers: 1,
-            threads_per_worker: 1,
-            ..ServeConfig::default()
-        },
-    );
+    // overload: stall the first batch so the burst overruns the bounded queue
+    let overload = start_engine(args, overload_config(8));
     let (accepted, shed) = flood(&overload, args, 64);
     println!(
         "overload         {shed}/{} shed as typed Rejected at queue_cap 8 \
@@ -306,7 +313,6 @@ fn smoke() -> ExitCode {
         queue_cap: 32,
         workers: 1,
         threads: 1,
-        max_wait_us: 500,
         clients: 2,
         json: false,
         smoke: true,
@@ -337,17 +343,7 @@ fn smoke() -> ExitCode {
     engine.shutdown();
 
     // 2. past the queue bound: typed rejections, accepted work still served
-    let overload = start_engine(
-        &args,
-        ServeConfig {
-            max_batch: 2,
-            max_wait: Duration::from_secs(2),
-            queue_cap: 4,
-            workers: 1,
-            threads_per_worker: 1,
-            ..ServeConfig::default()
-        },
-    );
+    let overload = start_engine(&args, overload_config(4));
     let (accepted, shed) = flood(&overload, &args, 64);
     let shed_counter = overload.metrics().shed.get();
     if shed == 0 {
@@ -379,7 +375,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: serve [--model NAME] [--tiny] [--requests N] [--frames T] \
                  [--max-batch B] [--queue-cap Q] [--workers W] [--threads P] \
-                 [--max-wait-us U] [--clients C] [--json] [--smoke]"
+                 [--clients C] [--json] [--smoke]"
             );
             ExitCode::FAILURE
         }

@@ -383,6 +383,14 @@ impl Registry {
         }
     }
 
+    /// Unregister `name`, returning whether it was registered. Handles
+    /// already given out keep working but no longer render. A series
+    /// whose label names something retired (a replaced model version)
+    /// must be removed, or the registry grows with every replacement.
+    pub fn remove(&self, name: &str) -> bool {
+        self.metrics.lock().unwrap().remove(name).is_some()
+    }
+
     /// Human-readable dump, one `name value` line per metric, sorted by
     /// name (histograms render their snapshot summary).
     pub fn render_text(&self) -> String {
@@ -638,6 +646,18 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"requests-total\":2"), "{json}");
         assert!(json.contains("\"latency-us\":{\"count\":1"), "{json}");
+    }
+
+    #[test]
+    fn removed_metrics_stop_rendering_and_can_be_re_registered() {
+        let r = Registry::new();
+        let old = r.counter("requests-total");
+        old.inc();
+        assert!(r.remove("requests-total"));
+        assert!(!r.remove("requests-total"), "a second remove finds nothing");
+        old.inc(); // an outstanding handle stays usable
+        assert!(!r.render_text().contains("requests-total"));
+        assert_eq!(r.counter("requests-total").get(), 0, "a new series starts at zero");
     }
 
     #[test]

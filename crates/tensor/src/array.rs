@@ -649,16 +649,17 @@ impl NdArray {
     /// dimensions. `self: [..., m, k]`, `other: [..., k, n]` →
     /// `[broadcast(...), m, n]`. Rank-2 inputs are ordinary matmul.
     ///
-    /// Dense operands with at least two output rows run the packed
-    /// cache-blocked microkernel (see [`crate::gemm`]): row-blocks are
-    /// sharded over the worker pool with [`crate::parallel::for_each_span`]
-    /// and each block packs A/B panels and runs the register-tiled inner
-    /// kernel. A bounded density probe on `self` keeps the zero-skip `ikj`
-    /// fast path for sparse operators (hypergraph incidence products are
-    /// mostly zeros). Dense products of every shape — `m = 1` included —
-    /// take the packed kernel, because serving relies on each output row
-    /// being bitwise identical whether computed alone or inside a larger
-    /// batch, which forbids dispatching on `m`.
+    /// Dense rows of `self` run the packed cache-blocked microkernel (see
+    /// [`crate::gemm`]): row-blocks are sharded over the worker pool with
+    /// [`crate::parallel::for_each_span`] and each block packs its dense A
+    /// rows into panels and runs the register-tiled inner kernel. A bounded
+    /// density probe on each row of `self` sends rows that are more than
+    /// three quarters zeros to the zero-skip `ikj` kernel instead
+    /// (hypergraph incidence rows are nearly all zeros). The choice is made
+    /// per row, from that row alone — `m = 1` included — because serving
+    /// relies on each output row being bitwise identical whether computed
+    /// alone or inside a larger batch, which forbids dispatching on `m` or
+    /// on the density of the other rows.
     ///
     /// Every dispatch decision depends only on shapes and operand data —
     /// never on the thread count — and both kernels fix each output
@@ -672,9 +673,9 @@ impl NdArray {
     }
 
     /// [`NdArray::matmul`] forced onto the retained reference `ikj` row
-    /// kernel (with its zero-skip density branch). This is the numerical
-    /// baseline the packed kernel is pinned against in the property suite
-    /// and the "before" side of the GEMM benchmarks.
+    /// kernel (with its per-row zero-skip density branch). This is the
+    /// numerical baseline the packed kernel is pinned against in the
+    /// property suite and the "before" side of the GEMM benchmarks.
     pub fn matmul_reference(&self, other: &Self) -> Self {
         crate::shape_check::check_matmul(&self.shape, &other.shape)
             .unwrap_or_else(|e| panic!("{e}"));
@@ -772,78 +773,97 @@ impl NdArray {
             .saturating_mul(m)
             .saturating_mul(n)
             .saturating_mul(k1.max(1));
-        // Dispatch. The packed kernel takes every dense product — including
-        // m = 1, where packing B costs more than it saves, because serving
-        // depends on batch-size invariance: a request's logits must be
-        // bitwise identical whether it runs alone (an [1, F] FC product) or
-        // inside a micro-batch ([B, F]). Both kernels fix each output row's
-        // bits as a function of that row and B alone, so invariance holds
-        // exactly when the *kernel choice* cannot differ between those two
-        // calls — no shape test on m is allowed. The zero-skipping row
-        // kernel keeps sparse incidence products (constant operands, stable
-        // density) off the packed path. Nothing here reads the thread
-        // count, so dispatch never breaks thread-count determinism either.
-        let skip_zeros = kernel != MatmulKernel::Packed && m > 0 && mostly_zero(&self.data);
-        let packed = match kernel {
-            MatmulKernel::Packed => true,
-            MatmulKernel::Reference => false,
-            MatmulKernel::Auto => !skip_zeros && k1 > 0,
-        };
-        if packed {
-            // Pack each *distinct* rhs matrix once, before sharding: a
-            // broadcast B (the common conv/FC case) packs a single time no
-            // matter how many batches or row-blocks consume it. Workers
-            // share the packed image read-only and pack only their own A
-            // row-block, so the sharding grain can shrink with the thread
-            // count without multiplying pack work.
-            let mut uniq = bbases.clone();
-            uniq.sort_unstable();
-            uniq.dedup();
-            let bp_len = crate::gemm::packed_b_len(k1, n);
-            let mut bpack = match ws.as_mut() {
-                Some(ws) => ws.take(uniq.len() * bp_len),
-                None => vec![0.0f32; uniq.len() * bp_len],
-            };
-            for (u, &bb) in uniq.iter().enumerate() {
-                crate::gemm::pack_b_full(
-                    &other.data[bb..bb + eb],
-                    &mut bpack[u * bp_len..(u + 1) * bp_len],
-                    n,
-                    k1,
-                );
-            }
-            // Shard (batch, row-block) spans; each span multiplies up to
-            // `rb` rows of A against its batch's packed B.
-            let rb = crate::gemm::row_block(m, nb, crate::parallel::num_threads());
-            let nbk = m.div_ceil(rb);
-            let mut ends = Vec::with_capacity(nb * nbk);
-            for b in 0..nb {
-                for ib in 0..nbk {
-                    let i1 = ((ib + 1) * rb).min(m);
-                    ends.push(b * m * n + i1 * n);
+        // Dispatch, per left-hand row. The packed kernel takes every dense
+        // row — including m = 1, where packing B costs more than it saves,
+        // because serving depends on batch invariance: a request's logits
+        // must be bitwise identical whether it runs alone (an [1, F] FC
+        // product) or inside a micro-batch ([B, F]). Both kernels fix each
+        // output row's bits as a function of that row and B alone, so
+        // invariance holds exactly when the *kernel choice* for a row
+        // depends on nothing but that row: no shape test on m, and no
+        // density probe over the whole operand, where batchmates would
+        // vote. Rows that are nearly all zeros (hypergraph incidence rows,
+        // zero-padded joints) take the zero-skipping row kernel. Nothing
+        // here reads the thread count, so dispatch never breaks
+        // thread-count determinism either.
+        let mut sparse = vec![false; nb * m];
+        if kernel != MatmulKernel::Packed && k1 > 0 {
+            for (flags, &abase) in sparse.chunks_exact_mut(m.max(1)).zip(&abases) {
+                let rows = self.data[abase..abase + ea].chunks_exact(k1);
+                for (flag, row) in flags.iter_mut().zip(rows) {
+                    *flag = mostly_zero(row);
                 }
             }
-            crate::parallel::for_each_span(&mut out, &ends, work, |item, cspan| {
-                let (b, ib) = (item / nbk, item % nbk);
-                let i0 = ib * rb;
+        }
+        let packed_row = |item: usize| match kernel {
+            MatmulKernel::Packed => true,
+            MatmulKernel::Reference => false,
+            MatmulKernel::Auto => !sparse[item] && k1 > 0,
+        };
+        // Shard (batch, row-block) spans of up to `rb` rows, and list each
+        // span's packed rows (span-relative, ascending).
+        let rb = crate::gemm::row_block(m, nb, crate::parallel::num_threads());
+        let mut spans = Vec::with_capacity(nb * m.div_ceil(rb));
+        let mut ends = Vec::with_capacity(spans.capacity());
+        let mut packed_rows = Vec::new();
+        let mut packed_bbs = Vec::new();
+        for (b, &bb) in bbases.iter().enumerate() {
+            for i0 in (0..m).step_by(rb) {
                 let i1 = (i0 + rb).min(m);
-                let abase = abases[b];
-                let ablock = &self.data[abase + i0 * k1..abase + i1 * k1];
-                let u = uniq.binary_search(&bbases[b]).unwrap();
-                let bp = &bpack[u * bp_len..(u + 1) * bp_len];
-                crate::gemm::gemm_block_prepacked(ablock, bp, cspan, i1 - i0, n, k1);
-            });
-            if let Some(ws) = ws.as_mut() {
-                ws.give(bpack);
+                let start = packed_rows.len();
+                packed_rows.extend((i0..i1).filter(|&i| packed_row(b * m + i)).map(|i| i - i0));
+                if packed_rows.len() > start {
+                    packed_bbs.push(bb);
+                }
+                spans.push((b, i0, i1, start..packed_rows.len()));
+                ends.push((b * m + i1) * n);
             }
-        } else {
-            crate::parallel::for_each_block(&mut out, n.max(1), work, |item, orow| {
-                let (b, i) = (item / m, item % m);
-                let abase = abases[b];
-                let arow = &self.data[abase + i * k1..abase + (i + 1) * k1];
+        }
+        // Pack each *distinct* rhs matrix a packed row reads once, before
+        // sharding: a broadcast B (the common conv/FC case) packs a single
+        // time no matter how many batches or row-blocks consume it.
+        // Workers share the packed image read-only and pack only their own
+        // A rows, so the sharding grain can shrink with the thread count
+        // without multiplying pack work.
+        packed_bbs.sort_unstable();
+        packed_bbs.dedup();
+        let bp_len = crate::gemm::packed_b_len(k1, n);
+        let mut bpack = match ws.as_mut() {
+            Some(ws) => ws.take(packed_bbs.len() * bp_len),
+            None => vec![0.0f32; packed_bbs.len() * bp_len],
+        };
+        for (u, &bb) in packed_bbs.iter().enumerate() {
+            crate::gemm::pack_b_full(
+                &other.data[bb..bb + eb],
+                &mut bpack[u * bp_len..(u + 1) * bp_len],
+                n,
+                k1,
+            );
+        }
+        crate::parallel::for_each_span(&mut out, &ends, work, |item, cspan| {
+            let (b, i0, i1, ref prows) = spans[item];
+            let ablock = &self.data[abases[b] + i0 * k1..abases[b] + i1 * k1];
+            let prows = &packed_rows[prows.clone()];
+            if !prows.is_empty() {
+                let u = packed_bbs.binary_search(&bbases[b]).unwrap();
+                let bp = &bpack[u * bp_len..(u + 1) * bp_len];
+                if prows.len() == i1 - i0 {
+                    crate::gemm::gemm_block_prepacked(ablock, bp, cspan, i1 - i0, n, k1);
+                } else {
+                    crate::gemm::gemm_rows_prepacked(ablock, prows, bp, cspan, n, k1);
+                }
+            }
+            if prows.len() < i1 - i0 {
                 let bm = &other.data[bbases[b]..bbases[b] + eb];
-                matmul_row(arow, bm, orow, n, skip_zeros);
-            });
+                for i in (0..i1 - i0).filter(|&i| !packed_row(b * m + i0 + i)) {
+                    let arow = &ablock[i * k1..(i + 1) * k1];
+                    let skip = sparse[b * m + i0 + i];
+                    matmul_row(arow, bm, &mut cspan[i * n..(i + 1) * n], n, skip);
+                }
+            }
+        });
+        if let Some(ws) = ws.as_mut() {
+            ws.give(bpack);
         }
         NdArray { shape: out_shape, data: out }
     }
@@ -1020,11 +1040,15 @@ enum MatmulKernel {
 /// decision bounded no matter how large the operand is.
 const DENSITY_PROBE_MAX: usize = 4096;
 
-/// Whether more than half of the probed elements of `data` are exactly
-/// zero — the density probe that decides between the dense packed kernel
-/// and the zero-skipping row kernel in [`NdArray::matmul`]. Hypergraph
-/// operators (`H`-products, `Imp·Impᵀ` factors) are mostly zeros and win
-/// with the skip; im2col'd conv inputs and weights are dense.
+/// Whether more than three quarters of the probed elements of `data` are
+/// exactly zero — the density probe that decides, for one left-hand row,
+/// between the dense packed kernel and the zero-skipping row kernel in
+/// [`NdArray::matmul`]. The packed kernel computes a dense row about 2.5×
+/// faster than the row kernel, and the skip's data-dependent branch costs
+/// more as zeros thin out, so the skip pays only on rows that are nearly
+/// all zeros: rows of hypergraph operators (`H`-products, `Imp·Impᵀ`
+/// factors). Half-silenced ReLU activations and im2col'd conv inputs stay
+/// on the packed kernel.
 ///
 /// Small operands are scanned in full. Larger ones are probed at a fixed
 /// deterministic stride chosen odd and not divisible by 3, so the sample
@@ -1036,8 +1060,9 @@ const DENSITY_PROBE_MAX: usize = 4096;
 /// correctness: both kernels compute the same product.
 fn mostly_zero(data: &[f32]) -> bool {
     if data.len() <= DENSITY_PROBE_MAX {
-        let zeros = data.iter().filter(|&&v| v == 0.0).count();
-        return zeros * 2 > data.len();
+        // a branch-free count, so the full scan vectorises
+        let zeros: usize = data.iter().map(|&v| usize::from(v == 0.0)).sum();
+        return zeros * 4 > data.len() * 3;
     }
     let mut stride = data.len() / DENSITY_PROBE_MAX;
     stride |= 1;
@@ -1053,7 +1078,7 @@ fn mostly_zero(data: &[f32]) -> bool {
         probed += 1;
         i += stride;
     }
-    zeros * 2 > probed
+    zeros * 4 > probed * 3
 }
 
 /// One output row of the `ikj` matmul kernel: `orow = arow · bm` where
@@ -1353,10 +1378,44 @@ mod tests {
     }
 
     #[test]
+    fn auto_matmul_rows_do_not_depend_on_their_batchmates_density() {
+        // Serving stacks requests into one left operand. A mostly-zero row
+        // (zero-padded joints) next to dense rows must produce, bit for
+        // bit, what each row produces alone: the kernel choice may read
+        // the row, never its batchmates.
+        let (k, n) = (64, 48);
+        let dense: Vec<f32> = (0..k).map(|i| (i as f32 * 0.37).sin() * 1.7).collect();
+        let sparse: Vec<f32> = (0..k)
+            .map(|i| if i % 8 == 0 { (i as f32 * 0.53).cos() } else { 0.0 })
+            .collect();
+        let b = NdArray::from_vec((0..k * n).map(|i| (i as f32 * 0.011).sin()).collect(), &[k, n]);
+        let alone = |row: &[f32]| NdArray::from_vec(row.to_vec(), &[1, k]).matmul(&b);
+        let (want_dense, want_sparse) = (alone(&dense), alone(&sparse));
+        // a dense row among mostly-zero ones, and a mostly-zero row among
+        // dense ones, at the front and in the middle of a stacked batch
+        for rows in [
+            vec![&dense, &sparse, &sparse, &sparse],
+            vec![&sparse, &dense, &dense, &dense],
+            vec![&sparse, &sparse, &dense, &sparse, &sparse],
+            vec![&dense, &dense, &sparse, &dense],
+        ] {
+            let stacked: Vec<f32> = rows.iter().flat_map(|r| r.iter().copied()).collect();
+            let got = NdArray::from_vec(stacked, &[rows.len(), k]).matmul(&b);
+            for (i, row) in rows.iter().enumerate() {
+                let want = if std::ptr::eq(*row, &dense) { &want_dense } else { &want_sparse };
+                let got_row = &got.data()[i * n..(i + 1) * n];
+                let same = got_row.iter().zip(want.data()).all(|(g, w)| g.to_bits() == w.to_bits());
+                assert!(same, "row {i} of a mixed-density batch differs from the row alone");
+            }
+        }
+    }
+
+    #[test]
     fn density_probe_decision_is_unchanged_by_sampling() {
-        // Small operands: exact scan. An incidence-like pattern (2 of 3
+        // Small operands: exact scan. An incidence-like pattern (4 of 5
         // zero) reads sparse; a dense weight block reads dense.
-        assert!(mostly_zero(&[0.0, 0.0, 1.0, 0.0, 0.0, 2.0]));
+        assert!(mostly_zero(&[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0]));
+        assert!(!mostly_zero(&[0.0, 0.0, 1.0, 0.0, 0.0, 2.0])); // two thirds zero
         assert!(!mostly_zero(&[1.0; 100]));
 
         // Large operands go through the strided probe; the decision on
@@ -1381,15 +1440,19 @@ mod tests {
         assert!(dense.len() > DENSITY_PROBE_MAX);
         assert!(!mostly_zero(&dense));
 
-        // Period-2 and period-3 alternating patterns: exactly half /
-        // one-third zero. The stride (odd, not divisible by 3) cannot
-        // alias onto only-zeros or only-nonzeros.
+        // Periodic patterns from half to seven eighths zero. The stride
+        // (odd, not divisible by 3) cannot alias onto only-zeros or
+        // only-nonzeros.
         let alt2: Vec<f32> = (0..20000).map(|i| (i % 2) as f32).collect();
-        assert!(!mostly_zero(&alt2)); // exactly half zero -> not "mostly"
+        assert!(!mostly_zero(&alt2)); // exactly half zero
         let alt3: Vec<f32> = (0..20000).map(|i| ((i % 3) != 0) as i32 as f32).collect();
         assert!(!mostly_zero(&alt3)); // one third zero
         let alt3_sparse: Vec<f32> = (0..20000).map(|i| ((i % 3) == 0) as i32 as f32).collect();
-        assert!(mostly_zero(&alt3_sparse)); // two thirds zero
+        assert!(!mostly_zero(&alt3_sparse)); // two thirds zero
+        let alt4_sparse: Vec<f32> = (0..20000).map(|i| ((i % 4) == 0) as i32 as f32).collect();
+        assert!(!mostly_zero(&alt4_sparse)); // exactly three quarters zero
+        let alt8_sparse: Vec<f32> = (0..20000).map(|i| ((i % 8) == 0) as i32 as f32).collect();
+        assert!(mostly_zero(&alt8_sparse)); // seven eighths zero
     }
 
     #[test]

@@ -22,12 +22,13 @@ use crate::NdArray;
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Count of autograd op nodes (nodes carrying a backward function) created
-/// since process start. The inference tests assert this stays constant
-/// across a [`no_grad`] forward pass.
-static GRAPH_NODES: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
+    /// Count of autograd op nodes (nodes carrying a backward function)
+    /// created on this thread since it started. Per thread, so a reading
+    /// taken around a forward pass counts that pass alone, whatever other
+    /// threads build meanwhile; the inference tests assert it stays
+    /// constant across a [`no_grad`] forward pass.
+    static GRAPH_NODES: Cell<u64> = const { Cell::new(0) };
     /// Whether [`Tensor::from_op`] records graph edges on this thread.
     static GRAD_ENABLED: Cell<bool> = const { Cell::new(true) };
 }
@@ -37,11 +38,13 @@ pub fn is_grad_enabled() -> bool {
     GRAD_ENABLED.with(|g| g.get())
 }
 
-/// Total autograd op nodes created so far (process-wide). Take a reading
-/// before and after a forward pass to measure how many graph nodes it
-/// allocated; under [`no_grad`] the difference must be zero.
+/// Autograd op nodes created so far on the calling thread. Take a reading
+/// before and after a forward pass on the same thread to measure how many
+/// graph nodes it allocated; under [`no_grad`] the difference must be
+/// zero. Graphs are `Rc`-based and never leave the thread that builds
+/// them, so a per-thread count misses no node of a pass.
 pub fn graph_nodes_created() -> u64 {
-    GRAPH_NODES.load(Ordering::Relaxed)
+    GRAPH_NODES.with(Cell::get)
 }
 
 /// RAII guard returned by [`no_grad`]; restores the previous grad mode
@@ -156,7 +159,7 @@ impl Tensor {
         if !requires_grad {
             return Tensor::constant(data);
         }
-        GRAPH_NODES.fetch_add(1, Ordering::Relaxed);
+        GRAPH_NODES.with(|n| n.set(n.get() + 1));
         Tensor {
             inner: Rc::new(Inner {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),

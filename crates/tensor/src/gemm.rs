@@ -148,11 +148,40 @@ pub fn gemm_block_prepacked(a: &[f32], bp: &[f32], c: &mut [f32], mb: usize, n: 
     debug_assert_eq!(a.len(), mb * k, "gemm_block: lhs size");
     debug_assert_eq!(bp.len(), packed_b_len(k, n), "gemm_block: packed rhs size");
     debug_assert_eq!(c.len(), mb * n, "gemm_block: out size");
+    gemm_rows(a, bp, c, mb, n, k, |i| i);
+}
+
+/// [`gemm_block_prepacked`] over a subset of the block's rows: computes
+/// `c[r] = a[r] · b_packed` for each row index `r` in `rows` (ascending)
+/// and leaves every other row of `c` untouched. The chosen rows pack into
+/// full MR-row panels however they are spread, so a block whose other
+/// rows take a different kernel does not waste register tiles. Each row's
+/// bits are the same as [`gemm_block_prepacked`] gives it: a row's
+/// accumulation never depends on the rows packed beside it.
+pub fn gemm_rows_prepacked(a: &[f32], rows: &[usize], bp: &[f32], c: &mut [f32], n: usize, k: usize) {
+    debug_assert_eq!(bp.len(), packed_b_len(k, n), "gemm_rows: packed rhs size");
+    debug_assert!(rows.iter().all(|&r| (r + 1) * k <= a.len() && (r + 1) * n <= c.len()));
+    gemm_rows(a, bp, c, rows.len(), n, k, |i| rows[i]);
+}
+
+/// The blocked kernel over `mb` rows, the `i`-th of which is row `row(i)`
+/// of `a` (stride `k`) and of `c` (stride `n`).
+fn gemm_rows(
+    a: &[f32],
+    bp: &[f32],
+    c: &mut [f32],
+    mb: usize,
+    n: usize,
+    k: usize,
+    row: impl Fn(usize) -> usize,
+) {
     if mb == 0 || n == 0 {
         return;
     }
     if k == 0 {
-        c.fill(0.0);
+        for i in 0..mb {
+            c[row(i) * n..(row(i) + 1) * n].fill(0.0);
+        }
         return;
     }
     let n_padded = n.div_ceil(NR) * NR;
@@ -164,7 +193,7 @@ pub fn gemm_block_prepacked(a: &[f32], bp: &[f32], c: &mut [f32], mb: usize, n: 
         let mut pc = 0;
         while pc < k {
             let kc = kc_max.min(k - pc);
-            pack_a(a, k, pc, kc, mb, &mut apack);
+            pack_a(a, k, pc, kc, mb, &row, &mut apack);
             let first = pc == 0;
             let block = &bp[pc * n_padded..(pc + kc) * n_padded];
             for q in 0..a_panels {
@@ -187,7 +216,10 @@ pub fn gemm_block_prepacked(a: &[f32], bp: &[f32], c: &mut [f32], mb: usize, n: 
                     } else {
                         microkernel_portable(apanel, bpanel, kc, &mut acc);
                     }
-                    store_tile(&acc, c, n, i0, j0, mr_eff, nr_eff, first);
+                    for (ii, arow) in acc.iter().enumerate().take(mr_eff) {
+                        let r = row(i0 + ii);
+                        store_row(arow, &mut c[r * n + j0..r * n + j0 + nr_eff], first);
+                    }
                 }
             }
             pc += kc;
@@ -216,17 +248,27 @@ pub fn gemm_block(a: &[f32], b: &[f32], c: &mut [f32], mb: usize, n: usize, k: u
     PACK_ARENA.with(|arena| arena.borrow_mut().give(bp));
 }
 
-/// Pack `a[0..mb, pc..pc+kc]` (row stride `k`) into MR-row panels laid out
-/// k-major: `apack[q·MR·kc + p·MR + i]` holds row `q·MR+i`, depth `pc+p`.
-/// Rows past `mb` pack as zeros so the microkernel never branches on the
-/// row edge. Every position is written — the buffer may be dirty.
-fn pack_a(a: &[f32], k: usize, pc: usize, kc: usize, mb: usize, apack: &mut [f32]) {
+/// Pack rows `row(0..mb)` of `a` (row stride `k`), depths `pc..pc+kc`,
+/// into MR-row panels laid out k-major: `apack[q·MR·kc + p·MR + i]` holds
+/// row `row(q·MR+i)`, depth `pc+p`. Panel slots past `mb` pack as zeros so
+/// the microkernel never branches on the row edge. Every position is
+/// written — the buffer may be dirty.
+fn pack_a(
+    a: &[f32],
+    k: usize,
+    pc: usize,
+    kc: usize,
+    mb: usize,
+    row: &impl Fn(usize) -> usize,
+    apack: &mut [f32],
+) {
     for q in 0..mb.div_ceil(MR) {
         let dst = &mut apack[q * MR * kc..(q + 1) * MR * kc];
         for ii in 0..MR {
             let i = q * MR + ii;
             if i < mb {
-                let src = &a[i * k + pc..i * k + pc + kc];
+                let r = row(i);
+                let src = &a[r * k + pc..r * k + pc + kc];
                 for (p, &v) in src.iter().enumerate() {
                     dst[p * MR + ii] = v;
                 }
@@ -310,29 +352,16 @@ unsafe fn microkernel_fma(apanel: &[f32], bpanel: &[f32], kc: usize, acc: &mut [
     }
 }
 
-/// Write an accumulator tile into `c` at `(i0, j0)`, clipped to the
-/// `mr_eff × nr_eff` valid region. The first `pc` block assigns (so `c`
-/// may start dirty), later blocks accumulate.
-#[allow(clippy::too_many_arguments)]
+/// Write one accumulator row into its clipped output span `crow`. The
+/// first `pc` block assigns (so `c` may start dirty), later blocks
+/// accumulate.
 #[inline]
-fn store_tile(
-    acc: &[[f32; NR]; MR],
-    c: &mut [f32],
-    n: usize,
-    i0: usize,
-    j0: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-    first: bool,
-) {
-    for (i, arow) in acc.iter().enumerate().take(mr_eff) {
-        let crow = &mut c[(i0 + i) * n + j0..(i0 + i) * n + j0 + nr_eff];
-        if first {
-            crow.copy_from_slice(&arow[..nr_eff]);
-        } else {
-            for (cv, &av) in crow.iter_mut().zip(arow.iter()) {
-                *cv += av;
-            }
+fn store_row(arow: &[f32; NR], crow: &mut [f32], first: bool) {
+    if first {
+        crow.copy_from_slice(&arow[..crow.len()]);
+    } else {
+        for (cv, &av) in crow.iter_mut().zip(arow.iter()) {
+            *cv += av;
         }
     }
 }
@@ -421,6 +450,33 @@ mod tests {
         assert_eq!(row_block(64, 32, 8), RB_MAX);
         // tiny problem: bottoms out at one register tile
         assert_eq!(row_block(4, 1, 8), MR);
+    }
+
+    #[test]
+    fn row_subsets_match_the_full_block_and_leave_other_rows_alone() {
+        // a scattered subset of rows (edge panels and a k-block boundary
+        // included) gets the bits the full block gives those rows; the
+        // rows left out keep whatever the caller put there
+        let (m, n, k) = (23, 21, KC + 5);
+        let a = fill(5, m * k);
+        let b = fill(6, k * n);
+        let mut bp = vec![0.0; packed_b_len(k, n)];
+        pack_b_full(&b, &mut bp, n, k);
+        let mut whole = vec![0.0; m * n];
+        gemm_block_prepacked(&a, &bp, &mut whole, m, n, k);
+        let rows = [0, 2, 3, 7, 8, 9, 10, 15, 22];
+        let mut part = vec![f32::NAN; m * n];
+        gemm_rows_prepacked(&a, &rows, &bp, &mut part, n, k);
+        for i in 0..m {
+            for j in 0..n {
+                let (got, want) = (part[i * n + j], whole[i * n + j]);
+                if rows.contains(&i) {
+                    assert_eq!(got.to_bits(), want.to_bits(), "row {i} col {j}");
+                } else {
+                    assert!(got.is_nan(), "row {i} was written");
+                }
+            }
+        }
     }
 
     #[test]

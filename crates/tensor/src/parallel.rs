@@ -45,7 +45,7 @@
 
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::Once;
+use std::sync::{Once, OnceLock};
 use std::thread;
 
 /// Problems whose estimated scalar-op count falls below this run serially:
@@ -85,7 +85,11 @@ pub const MAX_ENV_THREADS: usize = 512;
 /// The hardware fallback: [`std::thread::available_parallelism`], or 1
 /// when even that cannot be determined.
 fn default_threads() -> usize {
-    thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    // probed once: `available_parallelism` re-reads the cgroup CPU quota
+    // on every call (about 15 µs on Linux), which would dominate the many
+    // small products of a forward pass that ask for a thread count
+    static PROBED: OnceLock<usize> = OnceLock::new();
+    *PROBED.get_or_init(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Validate a raw `DHGCN_THREADS` value. `Ok(n)` for `1..=MAX_ENV_THREADS`;

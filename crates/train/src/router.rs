@@ -213,14 +213,32 @@ struct VersionCounters {
     bad_output: Arc<Counter>,
 }
 
+/// Base names of the [`VersionCounters`] series.
+const VERSION_SERIES: [&str; 3] = [
+    "net-version-requests-total",
+    "net-version-errors-total",
+    "net-version-bad-output-total",
+];
+
+fn version_series(base: &str, model: &str, version: u64) -> String {
+    labeled(base, &[("model", model), ("version", &version.to_string())])
+}
+
 impl VersionCounters {
     fn new(registry: &Registry, model: &str, version: u64) -> VersionCounters {
-        let v = version.to_string();
-        let l = |base: &str| labeled(base, &[("model", model), ("version", &v)]);
-        VersionCounters {
-            requests: registry.counter(&l("net-version-requests-total")),
-            errors: registry.counter(&l("net-version-errors-total")),
-            bad_output: registry.counter(&l("net-version-bad-output-total")),
+        let [requests, errors, bad_output] =
+            VERSION_SERIES.map(|base| registry.counter(&version_series(base, model, version)));
+        VersionCounters { requests, errors, bad_output }
+    }
+
+    /// Unregister the series of `model`'s `version` once a swap or a
+    /// promotion has replaced it as the stable version, so a server that
+    /// is hot-swapped N times holds the series of its installed versions,
+    /// not N of them. A rolled-back canary's series stay as the record of
+    /// why it was rolled back.
+    fn retire(registry: &Registry, model: &str, version: u64) {
+        for base in VERSION_SERIES {
+            registry.remove(&version_series(base, model, version));
         }
     }
 }
@@ -670,6 +688,7 @@ impl Router {
             let entry = entries
                 .get_mut(model)
                 .ok_or_else(|| SwapError::UnknownModel(model.to_string()))?;
+            VersionCounters::retire(&self.registry, model, entry.version);
             entry.version += 1;
             entry.counters = VersionCounters::new(&self.registry, model, entry.version);
             let old = std::mem::replace(&mut entry.engine, Arc::new(new_engine));
@@ -773,6 +792,7 @@ impl Router {
                 return;
             }
             let Some(c) = entry.canary.take() else { return };
+            VersionCounters::retire(&self.registry, model, entry.version);
             entry.version = c.version;
             entry.counters = c.counters.clone();
             entry.canary_promotions.fetch_add(1, Ordering::Relaxed);
@@ -1070,6 +1090,40 @@ mod tests {
         // different candidate versions shuffle the split: a key is not
         // pinned to "canary" across successive rollouts
         assert!((0..10_000u64).any(|k| canary_hit(2, 5_000, k) != canary_hit(3, 5_000, k)));
+    }
+
+    #[test]
+    fn replaced_versions_leave_the_registry() {
+        // per-version series must not pile up with every hot swap: after
+        // N swaps and a promotion only the installed version's series
+        // remain
+        let router = router(RouterConfig { canary_promote_after: 1, ..RouterConfig::default() });
+        let zoo = Zoo::tiny(SkeletonTopology::ntu25(), 4, 0);
+        let bytes = checkpoint::save(&zoo.by_name("ST-GCN").expect("zoo"));
+        let series = |router: &Router| {
+            let text = router.registry().render_text();
+            let lines: Vec<String> = text
+                .lines()
+                .filter(|l| l.starts_with("net-version-") && l.contains("ST-GCN"))
+                .map(str::to_string)
+                .collect();
+            lines
+        };
+        for _ in 0..5 {
+            router.swap("ST-GCN", &bytes).expect("swap");
+            router.infer("acme", "ST-GCN", &sample(0)).expect("infer");
+        }
+        let version = router.version("ST-GCN").expect("installed");
+        let left = series(&router);
+        assert_eq!(left.len(), 3, "{left:?}");
+        assert!(left.iter().all(|l| l.contains(&format!("version=\"{version}\""))), "{left:?}");
+        router.swap_canary("ST-GCN", &bytes, 1.0).expect("stage");
+        router.infer("acme", "ST-GCN", &sample(1)).expect("canary serves and promotes");
+        assert_eq!(router.version("ST-GCN"), Some(version + 1));
+        let left = series(&router);
+        assert_eq!(left.len(), 3, "{left:?}");
+        assert!(left.iter().all(|l| l.contains(&format!("version=\"{}\"", version + 1))), "{left:?}");
+        router.shutdown();
     }
 
     #[test]

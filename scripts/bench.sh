@@ -2,10 +2,8 @@
 # Machine-readable performance snapshot: per-kernel GEMM GFLOP/s (packed
 # cache-blocked vs reference ikj, conv- and incidence-shaped operands),
 # per-frame streaming topology maintenance vs per-window from-scratch
-# reconstruction (T=64, NTU-25), serve-engine p50/p95/p99 latency at a
-# fixed closed-loop offered load, and the cost_model section comparing
-# the plan IR's predicted FLOPs against the serve p50 (achieved GFLOP/s
-# as a fraction of the peak measured GEMM rate).
+# reconstruction (T=64, NTU-25), and serve-engine p50/p95/p99 latency at
+# a fixed closed-loop offered load.
 #
 #   scripts/bench.sh            # full run, writes BENCH_9.json at the repo
 #                               # root (perf sections + a "net" section of

@@ -7,8 +7,7 @@
 #      once without measuring, catching bit-rot in bench code; the
 #      inference_latency bench also asserts the execution-mode contract)
 #   5. the perf snapshot smoke (scripts/bench.sh --smoke): GEMM GFLOP/s
-#      per kernel, serve latency quantiles and the cost-model ratio, same
-#      schema as BENCH_9.json
+#      per kernel, streaming maintenance and serve latency quantiles
 #   6. the static model-graph analyzer over the whole zoo (clean plans,
 #      clean serving + streaming audit) plus its self-test of seeded
 #      negatives

@@ -100,7 +100,6 @@ fn killed_workers_are_respawned_and_every_zoo_model_keeps_serving() {
                 ServeConfig {
                     workers,
                     max_batch: 3,
-                    max_wait: Duration::from_millis(2),
                     queue_cap: 64,
                     faults: Some(faults.clone()),
                     ..ServeConfig::default()
@@ -161,7 +160,6 @@ fn mixed_fault_storm_yields_reply_or_typed_error_and_bitwise_survivors() {
         ServeConfig {
             workers: 2,
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             queue_cap: 64,
             deadline: Some(Duration::from_secs(5)), // generous: typed if hit, never stuck
             faults: Some(faults.clone()),
@@ -230,7 +228,6 @@ fn restart_budget_exhaustion_degrades_to_typed_errors_not_deadlock() {
         ServeConfig {
             workers: 1,
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             queue_cap: 64,
             max_restarts: 2,
             faults: Some(faults),
