@@ -1,14 +1,40 @@
 //! Contiguous row-major `f32` n-dimensional arrays.
 //!
 //! [`NdArray`] is the numeric workhorse underneath the autograd layer: it
-//! implements numpy-style broadcasting, batched matrix multiplication (the
-//! `ikj` loop order so the inner loop vectorises), axis reductions, shape
-//! manipulation, and the `im2col`/`col2im` pair that turns convolution into
-//! matrix multiplication.
+//! implements numpy-style broadcasting, batched matrix multiplication (see
+//! [`crate::gemm`]), axis reductions, shape manipulation, and the
+//! `im2col`/`col2im` pair that turns convolution into matrix
+//! multiplication.
 //!
 //! Arrays are always contiguous after every operation; at the sizes used by
 //! skeleton models (`V = 25`, `T ≤ 64`, `C ≤ 256`) this is both simpler and
 //! faster than maintaining strided views.
+//!
+//! # Strided kernels
+//!
+//! Broadcast binary ops ([`NdArray::binop`]), axis sums
+//! ([`NdArray::sum_axes`]) and materialised strided views
+//! ([`NdArray::permute`], [`NdArray::broadcast_to`]) share one
+//! dimension-coalescing rule. Each describes its work as a row-major walk
+//! over an iteration shape with one element stride per operand and
+//! dimension (0 where an operand is broadcast or reduced). Size-1
+//! dimensions are dropped, and adjacent dimensions are merged when every
+//! operand steps through them contiguously (outer stride = inner stride ×
+//! inner size). Only the outer dimensions are walked index by index; the
+//! innermost one runs as a slice loop the compiler can vectorise: slice
+//! with slice, slice with scalar, scalar with slice, or strided for
+//! `binop`; a reduced run or a kept run for `sum_axes`; a copy, a fill or a
+//! strided gather for views. The index scratch lives on the stack, so the
+//! kernels support rank up to [`MAX_RANK`] and allocate nothing but their
+//! output.
+//!
+//! Coalescing changes how elements are visited, never which values meet or
+//! in what order: `binop` and the views compute each output element from
+//! the same inputs as an element-at-a-time walk, and `sum_axes` adds the
+//! inputs of each output cell in increasing flat index, starting from
+//! `0.0`, with one sequential accumulator (no split accumulators, no
+//! horizontal SIMD sums). Results are therefore bitwise reproducible and
+//! independent of `DHGCN_THREADS`.
 
 use std::fmt;
 
@@ -74,18 +100,117 @@ pub fn broadcast_shape(a: &[usize], b: &[usize]) -> Option<Vec<usize>> {
     Some(out)
 }
 
-/// Strides for iterating an array of shape `src` as if broadcast to `dst`
-/// (stride 0 on stretched dimensions). `src` must be broadcast-compatible
-/// with `dst` and `dst.len() >= src.len()`.
-fn broadcast_strides(src: &[usize], dst: &[usize]) -> Vec<usize> {
-    let nd = dst.len();
-    let base = contiguous_strides(src);
-    let offset = nd - src.len();
-    let mut out = vec![0usize; nd];
-    for d in 0..src.len() {
-        out[offset + d] = if src[d] == 1 && dst[offset + d] != 1 { 0 } else { base[d] };
+/// Rank limit of the strided kernels, whose index scratch lives on the
+/// stack.
+pub const MAX_RANK: usize = 16;
+
+/// The iteration space of a strided kernel over `K` operands: a shape
+/// walked in row-major order, with each operand's element stride per
+/// dimension. See the module docs for the coalescing rule.
+struct Walk<const K: usize> {
+    rank: usize,
+    dims: [usize; MAX_RANK],
+    strides: [[usize; K]; MAX_RANK],
+}
+
+impl<const K: usize> Walk<K> {
+    /// A walk over `shape` with every operand stride 0.
+    fn new(shape: &[usize]) -> Self {
+        assert!(
+            shape.len() <= MAX_RANK,
+            "strided kernels support rank <= {MAX_RANK}, got shape {shape:?}"
+        );
+        let mut dims = [1; MAX_RANK];
+        dims[..shape.len()].copy_from_slice(shape);
+        Walk { rank: shape.len(), dims, strides: [[0; K]; MAX_RANK] }
     }
-    out
+
+    /// Make operand `k` a contiguous row-major array of shape `src`,
+    /// aligned to the trailing dimensions of the walk and broadcast along
+    /// the rest (stride 0 on missing and size-1 dimensions).
+    fn broadcast(mut self, k: usize, src: &[usize]) -> Self {
+        let offset = self.rank - src.len();
+        let mut acc = 1;
+        for (d, &n) in src.iter().enumerate().rev() {
+            self.strides[offset + d][k] = if n == 1 { 0 } else { acc };
+            acc *= n;
+        }
+        self
+    }
+
+    /// Drop size-1 dimensions and merge adjacent dimensions that every
+    /// operand steps through contiguously. Returns the innermost
+    /// dimension's length and per-operand strides. The walk must cover at
+    /// least one element.
+    fn coalesce(&mut self) -> (usize, [usize; K]) {
+        debug_assert!(self.dims[..self.rank].iter().all(|&n| n > 0), "coalesce of an empty walk");
+        let mut r = 0;
+        for d in 0..self.rank {
+            let (n, s) = (self.dims[d], self.strides[d]);
+            if n == 1 {
+                continue;
+            }
+            if r > 0 && (0..K).all(|k| self.strides[r - 1][k] == s[k] * n) {
+                self.dims[r - 1] *= n;
+                self.strides[r - 1] = s;
+            } else {
+                self.dims[r] = n;
+                self.strides[r] = s;
+                r += 1;
+            }
+        }
+        if r == 0 {
+            // a single element: one run of length 1
+            self.dims[0] = 1;
+            self.strides[0] = [0; K];
+            r = 1;
+        }
+        self.rank = r;
+        (self.dims[r - 1], self.strides[r - 1])
+    }
+
+    /// Call `row` with the operands' base offsets of every innermost run,
+    /// in row-major order. Call [`Walk::coalesce`] first.
+    fn rows(&self, mut row: impl FnMut([usize; K])) {
+        let mut idx = [0usize; MAX_RANK];
+        let mut off = [0usize; K];
+        loop {
+            row(off);
+            let mut d = self.rank - 1;
+            loop {
+                if d == 0 {
+                    return;
+                }
+                d -= 1;
+                idx[d] += 1;
+                for (o, s) in off.iter_mut().zip(self.strides[d]) {
+                    *o += s;
+                }
+                if idx[d] < self.dims[d] {
+                    break;
+                }
+                idx[d] = 0;
+                for (o, s) in off.iter_mut().zip(self.strides[d]) {
+                    *o -= s * self.dims[d];
+                }
+            }
+        }
+    }
+}
+
+/// Materialise the strided view described by `walk` (operand 0 indexes
+/// `src`) as a contiguous buffer of `n` elements.
+fn gather(src: &[f32], mut walk: Walk<1>, n: usize) -> Vec<f32> {
+    let mut data = Vec::with_capacity(n);
+    if n > 0 {
+        let (len, [s]) = walk.coalesce();
+        walk.rows(|[o]| match s {
+            1 => data.extend_from_slice(&src[o..o + len]),
+            0 => data.extend(std::iter::repeat_n(src[o], len)),
+            _ => data.extend(src[o..].iter().step_by(s).take(len)),
+        });
+    }
+    data
 }
 
 impl NdArray {
@@ -250,26 +375,27 @@ impl NdArray {
             panic!("broadcast mismatch: {:?} vs {:?}", self.shape, other.shape)
         });
         let n = numel(&out_shape);
-        let sa = broadcast_strides(&self.shape, &out_shape);
-        let sb = broadcast_strides(&other.shape, &out_shape);
-        let nd = out_shape.len();
         let mut data = Vec::with_capacity(n);
-        let mut idx = vec![0usize; nd];
-        let (mut oa, mut ob) = (0usize, 0usize);
-        for _ in 0..n {
-            data.push(f(self.data[oa], other.data[ob]));
-            // odometer increment from the last dimension
-            for d in (0..nd).rev() {
-                idx[d] += 1;
-                oa += sa[d];
-                ob += sb[d];
-                if idx[d] < out_shape[d] {
-                    break;
+        if n > 0 {
+            let mut walk =
+                Walk::<2>::new(&out_shape).broadcast(0, &self.shape).broadcast(1, &other.shape);
+            let (len, [sa, sb]) = walk.coalesce();
+            let (a, b) = (self.data.as_slice(), other.data.as_slice());
+            walk.rows(|[oa, ob]| match (sa, sb) {
+                (1, 1) => {
+                    let rows = a[oa..oa + len].iter().zip(&b[ob..ob + len]);
+                    data.extend(rows.map(|(&x, &y)| f(x, y)));
                 }
-                idx[d] = 0;
-                oa -= sa[d] * out_shape[d];
-                ob -= sb[d] * out_shape[d];
-            }
+                (1, 0) => {
+                    let y = b[ob];
+                    data.extend(a[oa..oa + len].iter().map(|&x| f(x, y)));
+                }
+                (0, 1) => {
+                    let x = a[oa];
+                    data.extend(b[ob..ob + len].iter().map(|&y| f(x, y)));
+                }
+                _ => data.extend((0..len).map(|i| f(a[oa + i * sa], b[ob + i * sb]))),
+            });
         }
         NdArray { shape: out_shape, data }
     }
@@ -399,32 +525,18 @@ impl NdArray {
     pub fn permute(&self, perm: &[usize]) -> Self {
         let nd = self.ndim();
         assert_eq!(perm.len(), nd, "permute rank mismatch");
-        let mut seen = vec![false; nd];
-        for &p in perm {
+        // start from the input's own layout and permute its dimensions
+        let mut walk = Walk::<1>::new(&self.shape).broadcast(0, &self.shape);
+        let (dims, strides) = (walk.dims, walk.strides);
+        let mut seen = [false; MAX_RANK];
+        for (d, &p) in perm.iter().enumerate() {
             assert!(p < nd && !seen[p], "invalid permutation {perm:?}");
             seen[p] = true;
+            walk.dims[d] = dims[p];
+            walk.strides[d] = strides[p];
         }
-        let out_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
-        let in_strides = contiguous_strides(&self.shape);
-        // stride of output dim d in the *input* buffer
-        let strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
-        let n = self.len();
-        let mut data = Vec::with_capacity(n);
-        let mut idx = vec![0usize; nd];
-        let mut off = 0usize;
-        for _ in 0..n {
-            data.push(self.data[off]);
-            for d in (0..nd).rev() {
-                idx[d] += 1;
-                off += strides[d];
-                if idx[d] < out_shape[d] {
-                    break;
-                }
-                idx[d] = 0;
-                off -= strides[d] * out_shape[d];
-            }
-        }
-        NdArray { shape: out_shape, data }
+        let out_shape = walk.dims[..nd].to_vec();
+        NdArray { shape: out_shape, data: gather(&self.data, walk, self.len()) }
     }
 
     /// Swap the last two axes (matrix transpose for the batched case).
@@ -444,7 +556,8 @@ impl NdArray {
         let bs = broadcast_shape(&self.shape, shape)
             .unwrap_or_else(|| panic!("cannot broadcast {:?} to {:?}", self.shape, shape));
         assert_eq!(bs, shape, "cannot broadcast {:?} to {:?}", self.shape, shape);
-        NdArray::zeros(shape).binop(self, |_, b| b)
+        let walk = Walk::<1>::new(shape).broadcast(0, &self.shape);
+        NdArray { shape: shape.to_vec(), data: gather(&self.data, walk, numel(shape)) }
     }
 
     /// Sum a gradient-like array down to `target` shape, undoing broadcasting
@@ -462,8 +575,17 @@ impl NdArray {
                 axes.push(offset + d);
             }
         }
-        let summed = self.sum_axes(&axes, true);
-        summed.reshape(target)
+        self.sum_axes(&axes, true).into_shape(target)
+    }
+
+    /// [`NdArray::reduce_to_shape`] by value: an array already of `target`
+    /// shape is returned as is instead of copied.
+    pub fn into_reduced(self, target: &[usize]) -> Self {
+        if self.shape == target {
+            self
+        } else {
+            self.reduce_to_shape(target)
+        }
     }
 
     /// Concatenate arrays along `axis`. All other dimensions must match.
@@ -540,45 +662,49 @@ impl NdArray {
             return self.clone();
         }
         let nd = self.ndim();
-        let mut reduce = vec![false; nd];
+        let mut kept_shape = self.shape.clone();
         for &a in axes {
             assert!(a < nd, "sum axis {a} out of range for rank {nd}");
-            reduce[a] = true;
+            kept_shape[a] = 1;
         }
-        let kept_shape: Vec<usize> =
-            (0..nd).map(|d| if reduce[d] { 1 } else { self.shape[d] }).collect();
-        let out_strides_full = contiguous_strides(&kept_shape);
-        let out_strides: Vec<usize> =
-            (0..nd).map(|d| if reduce[d] { 0 } else { out_strides_full[d] }).collect();
         let mut out = NdArray::zeros(&kept_shape);
-        let n = self.len();
-        let mut idx = vec![0usize; nd];
-        let mut off_out = 0usize;
-        for i in 0..n {
-            out.data[off_out] += self.data[i];
-            for d in (0..nd).rev() {
-                idx[d] += 1;
-                off_out += out_strides[d];
-                if idx[d] < self.shape[d] {
-                    break;
+        if !self.is_empty() {
+            // walk the input in flat order; the output operand strides 0
+            // along the reduced dims
+            let mut walk = Walk::<1>::new(&self.shape).broadcast(0, &kept_shape);
+            let (len, [so]) = walk.coalesce();
+            let mut runs = self.data.chunks_exact(len);
+            walk.rows(|[o]| {
+                let run = runs.next().expect("sum_axes walk covers the input");
+                if so == 0 {
+                    let mut acc = out.data[o];
+                    for &v in run {
+                        acc += v;
+                    }
+                    out.data[o] = acc;
+                } else {
+                    for (acc, &v) in out.data[o..o + len].iter_mut().zip(run) {
+                        *acc += v;
+                    }
                 }
-                idx[d] = 0;
-                off_out -= out_strides[d] * self.shape[d];
-            }
+            });
         }
         if keepdim {
             out
         } else {
             let squeezed: Vec<usize> =
-                (0..nd).filter(|&d| !reduce[d]).map(|d| self.shape[d]).collect();
-            out.reshape(&squeezed)
+                (0..nd).filter(|d| !axes.contains(d)).map(|d| self.shape[d]).collect();
+            out.into_shape(&squeezed)
         }
     }
 
     /// Mean over the given axes.
     pub fn mean_axes(&self, axes: &[usize], keepdim: bool) -> Self {
         let count: usize = axes.iter().map(|&a| self.shape[a]).product();
-        self.sum_axes(axes, keepdim).mul_scalar(1.0 / count as f32)
+        let scale = 1.0 / count as f32;
+        let mut out = self.sum_axes(axes, keepdim);
+        out.map_inplace(|v| v * scale);
+        out
     }
 
     /// Sum of all elements as an `f32`.
@@ -731,8 +857,6 @@ impl NdArray {
             panic!("matmul batch broadcast mismatch: {:?} x {:?}", self.shape, other.shape)
         });
         let nb = numel(&batch);
-        let sa = broadcast_strides(batch_a, &batch);
-        let sb = broadcast_strides(batch_b, &batch);
         // per-batch element counts
         let ea = m * k1;
         let eb = k1 * n;
@@ -747,27 +871,19 @@ impl NdArray {
             Some(ws) => ws.take(nb * m * n),
             None => vec![0.0f32; nb * m * n],
         };
-        // walk the broadcast odometer once to precompute each batch's
-        // operand offsets; workers then index instead of iterating
-        let nd = batch.len();
+        // walk the broadcast batch once to precompute each batch's operand
+        // offsets; workers then index instead of iterating
         let mut abases = Vec::with_capacity(nb);
         let mut bbases = Vec::with_capacity(nb);
-        let mut idx = vec![0usize; nd];
-        let (mut oa, mut ob) = (0usize, 0usize);
-        for _ in 0..nb {
-            abases.push(oa * ea);
-            bbases.push(ob * eb);
-            for d in (0..nd).rev() {
-                idx[d] += 1;
-                oa += sa[d];
-                ob += sb[d];
-                if idx[d] < batch[d] {
-                    break;
+        if nb > 0 {
+            let mut walk = Walk::<2>::new(&batch).broadcast(0, batch_a).broadcast(1, batch_b);
+            let (len, [sa, sb]) = walk.coalesce();
+            walk.rows(|[oa, ob]| {
+                for i in 0..len {
+                    abases.push((oa + i * sa) * ea);
+                    bbases.push((ob + i * sb) * eb);
                 }
-                idx[d] = 0;
-                oa -= sa[d] * batch[d];
-                ob -= sb[d] * batch[d];
-            }
+            });
         }
         let work = nb
             .saturating_mul(m)

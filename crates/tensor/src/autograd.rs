@@ -299,7 +299,9 @@ impl Tensor {
         self.accumulate_grad(seed);
         for node in topo.iter().rev() {
             let Some(op) = node.inner.backward_fn.as_ref() else { continue };
-            let grad_out = match node.inner.grad.borrow().clone() {
+            // Take the intermediate gradient: only leaves keep theirs, and
+            // every consumer of this node has already run.
+            let grad_out = match node.inner.grad.borrow_mut().take() {
                 Some(g) => g,
                 None => continue, // not reachable from the seed
             };
@@ -321,10 +323,6 @@ impl Tensor {
                         parent.accumulate_grad(g);
                     }
                 }
-            }
-            // Free the intermediate gradient: only leaves keep theirs.
-            if node.inner.backward_fn.is_some() {
-                *node.inner.grad.borrow_mut() = None;
             }
         }
     }

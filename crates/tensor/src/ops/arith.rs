@@ -20,18 +20,24 @@ impl Backward for BinOp {
     fn backward(&self, g: &NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
         let a = ctx.parents[0].data();
         let b = ctx.parents[1].data();
+        // `into_reduced` moves a result that already has its parent's shape;
+        // the borrowed `g` is copied at most once per parent
         let (ga, gb) = match self.kind {
-            BinKind::Add => (g.clone(), g.clone()),
-            BinKind::Sub => (g.clone(), g.mul_scalar(-1.0)),
-            BinKind::Mul => (g.mul(&b), g.mul(&a)),
+            BinKind::Add => (g.reduce_to_shape(a.shape()), g.reduce_to_shape(b.shape())),
+            BinKind::Sub => {
+                (g.reduce_to_shape(a.shape()), g.mul_scalar(-1.0).into_reduced(b.shape()))
+            }
+            BinKind::Mul => {
+                (g.mul(&b).into_reduced(a.shape()), g.mul(&a).into_reduced(b.shape()))
+            }
             BinKind::Div => {
-                let ga = g.div(&b);
+                let ga = g.div(&b).into_reduced(a.shape());
                 // d/db (a/b) = -a / b²
-                let gb = g.mul(&a).mul_scalar(-1.0).div(&b).div(&b);
+                let gb = g.mul(&a).mul_scalar(-1.0).div(&b).div(&b).into_reduced(b.shape());
                 (ga, gb)
             }
         };
-        vec![Some(ga.reduce_to_shape(a.shape())), Some(gb.reduce_to_shape(b.shape()))]
+        vec![Some(ga), Some(gb)]
     }
 
     fn name(&self) -> &'static str {
@@ -54,6 +60,7 @@ enum UnaryKind {
     Exp,
     Ln,
     PowScalar(f32),
+    Square,
 }
 
 struct UnaryOp {
@@ -72,6 +79,7 @@ impl Backward for UnaryOp {
             UnaryKind::Exp => g.mul(ctx.output),
             UnaryKind::Ln => g.div(&x),
             UnaryKind::PowScalar(p) => g.zip_map(&x, |gv, xv| gv * p * xv.powf(p - 1.0)),
+            UnaryKind::Square => g.zip_map(&x, |gv, xv| gv * 2.0 * xv),
         };
         vec![Some(gx)]
     }
@@ -85,6 +93,7 @@ impl Backward for UnaryOp {
             UnaryKind::Exp => "exp",
             UnaryKind::Ln => "ln",
             UnaryKind::PowScalar(_) => "pow_scalar",
+            UnaryKind::Square => "square",
         }
     }
 }
@@ -156,9 +165,11 @@ impl Tensor {
         Tensor::from_op(out, vec![self.clone()], Box::new(UnaryOp { kind: UnaryKind::PowScalar(p) }))
     }
 
-    /// Elementwise square (`x * x` without a second graph edge).
+    /// Elementwise square: `x * x` as one node with one graph edge, and
+    /// multiplications rather than `powf` in both directions.
     pub fn square(&self) -> Tensor {
-        self.pow_scalar(2.0)
+        let out = self.data().map(|v| v * v);
+        Tensor::from_op(out, vec![self.clone()], Box::new(UnaryOp { kind: UnaryKind::Square }))
     }
 }
 
@@ -206,6 +217,19 @@ mod tests {
         let y = x.sqrt().sum_all();
         y.backward();
         assert_eq!(x.grad().unwrap().data(), &[0.25]);
+    }
+
+    #[test]
+    fn square_is_one_node_with_exact_products() {
+        let x = p(vec![-3.0, 0.1, 1.5e-3], &[3]);
+        let before = crate::graph_nodes_created();
+        let y = x.square();
+        assert_eq!(crate::graph_nodes_created() - before, 1);
+        let want: Vec<f32> = x.data().data().iter().map(|v| v * v).collect();
+        assert_eq!(y.data().data(), want.as_slice());
+        y.sum_all().backward();
+        let want: Vec<f32> = x.data().data().iter().map(|v| 2.0 * v).collect();
+        assert_eq!(x.grad().unwrap().data(), want.as_slice()); // 2x
     }
 
     #[test]

@@ -10,8 +10,8 @@ impl Backward for MatmulOp {
         let a = ctx.parents[0].data();
         let b = ctx.parents[1].data();
         // dA = g @ Bᵀ, dB = Aᵀ @ g — then sum away broadcast batch dims.
-        let ga = g.matmul(&b.transpose_last2()).reduce_to_shape(a.shape());
-        let gb = a.transpose_last2().matmul(g).reduce_to_shape(b.shape());
+        let ga = g.matmul(&b.transpose_last2()).into_reduced(a.shape());
+        let gb = a.transpose_last2().matmul(g).into_reduced(b.shape());
         vec![Some(ga), Some(gb)]
     }
 

@@ -14,16 +14,17 @@ impl Backward for SumAxesOp {
     fn backward(&self, g: &NdArray, ctx: &BackwardCtx<'_>) -> Vec<Option<NdArray>> {
         let in_shape = ctx.parents[0].data().shape().to_vec();
         // Re-insert reduced dims as 1 (if they were squeezed), then broadcast.
-        let g_keep = if self.keepdim {
-            g.clone()
+        let mut gx = if self.keepdim {
+            g.broadcast_to(&in_shape)
         } else {
             let mut shape = in_shape.clone();
             for &a in &self.axes {
                 shape[a] = 1;
             }
-            g.reshape(&shape)
+            g.reshape(&shape).broadcast_to(&in_shape)
         };
-        vec![Some(g_keep.broadcast_to(&in_shape).mul_scalar(self.scale))]
+        gx.map_inplace(|v| v * self.scale);
+        vec![Some(gx)]
     }
 
     fn name(&self) -> &'static str {

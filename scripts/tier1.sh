@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything that must stay green on every change.
 #   1. release build of the whole workspace
-#   2. the full test suite (unit + integration + property tests)
+#   2. the full test suite (unit + integration + property tests), then the
+#      bitwise suites again in release, where the optimiser may evaluate
+#      float calls such as `sin` at compile time and round differently
+#      from a debug build (loopback TCP, serve batch invariance,
+#      thread-count determinism, the strided kernels against their oracle)
 #   3. clippy with warnings denied
 #   4. a smoke pass over the criterion benches (--test runs each bench
 #      once without measuring, catching bit-rot in bench code; the
@@ -39,6 +43,10 @@ cargo build --workspace --release
 
 echo "== tier1: cargo test =="
 cargo test -q --workspace
+
+echo "== tier1: bitwise suites in release =="
+cargo test --release -q -p dhgcn --test net_roundtrip --test serve_invariance \
+    --test parallel_determinism --test strided_kernels
 
 echo "== tier1: clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -28,6 +28,12 @@ fn sample(seed: usize) -> Vec<f32> {
     (0..3 * 8 * 25).map(|i| ((i + seed * 131) as f32 * 0.013).sin()).collect()
 }
 
+/// One `[C, V]` frame of the synthetic stream. Never inlined: inlined
+/// into a caller with a constant `t`, the optimiser may fold `sin` at
+/// compile time and round differently from the runtime call, so the
+/// pushed frame and the reference window would differ by an ulp in
+/// release builds.
+#[inline(never)]
 fn frame(t: usize) -> Vec<f32> {
     (0..3 * 25).map(|i| ((t * 3 * 25 + i) as f32 * 0.011).sin()).collect()
 }
